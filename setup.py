@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-The offline build environment lacks the ``wheel`` package, so PEP 660
-editable installs (``bdist_wheel``) are unavailable; this shim lets
-``pip install -e .`` fall back to ``setup.py develop``.  All metadata
-lives in pyproject.toml.
+All metadata lives in pyproject.toml.  Builds without the ``wheel``
+package cannot make PEP 660 editable installs (``bdist_wheel``); this
+shim keeps ``python setup.py develop`` and ``python setup.py egg_info``
+working there.
 """
 
 from setuptools import setup

@@ -9,7 +9,7 @@ matched to the paper's regime (see ``repro.datasets.realworld``);
 The success criterion everywhere is the paper's *shape* — method
 orderings, trend directions, crossovers — not absolute numbers, since the
 substrate is a seeded simulator and the real datasets are matched
-stand-ins (DESIGN.md Section 2).
+stand-ins (see ``repro.datasets.realworld`` for the substitution argument).
 """
 
 from __future__ import annotations

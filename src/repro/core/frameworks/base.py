@@ -166,6 +166,13 @@ class MulticlassFramework(abc.ABC):
         )
 
 
+def equal_group_sizes(n_users: int, n_groups: int) -> list[int]:
+    """Near-equal group sizes summing to ``n_users``; the first
+    ``n_users % n_groups`` groups take one extra user (HEC's split)."""
+    base, extra = divmod(n_users, n_groups)
+    return [base + (index < extra) for index in range(n_groups)]
+
+
 def split_counts_into_groups(
     pair_counts: np.ndarray, group_sizes: list[int], rng: np.random.Generator
 ) -> np.ndarray:

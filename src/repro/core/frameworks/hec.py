@@ -18,7 +18,7 @@ from ...datasets.base import LabelItemDataset
 from ...mechanisms.adaptive import make_adaptive
 from ...rng import RngLike
 from ..estimators import calibrate_hec
-from .base import MulticlassFramework, split_counts_into_groups
+from .base import MulticlassFramework, equal_group_sizes, split_counts_into_groups
 
 
 def simulate_hec_group_support(
@@ -79,22 +79,12 @@ class HECFramework(MulticlassFramework):
         return self._oracle.communication_bits()
 
     # ------------------------------------------------------------------
-    # group bookkeeping
-    # ------------------------------------------------------------------
-    def _group_sizes(self, n_users: int) -> list[int]:
-        base = n_users // self.n_classes
-        sizes = [base] * self.n_classes
-        for index in range(n_users - base * self.n_classes):
-            sizes[index] += 1
-        return sizes
-
-    # ------------------------------------------------------------------
     # simulate path
     # ------------------------------------------------------------------
     def _estimate_simulated(
         self, dataset: LabelItemDataset, rng: np.random.Generator
     ) -> np.ndarray:
-        sizes = self._group_sizes(dataset.n_users)
+        sizes = equal_group_sizes(dataset.n_users, self.n_classes)
         groups = split_counts_into_groups(dataset.pair_counts(), sizes, rng)
         p, q = self._oracle.p, self._oracle.q
         support = np.empty((self.n_classes, self.n_items), dtype=np.int64)

@@ -36,7 +36,7 @@ from ...mechanisms.base import check_epsilon
 from ...mechanisms.budget import split_budget
 from ...mechanisms.grr import grr_probabilities
 from ...rng import RngLike, ensure_rng
-from ..frameworks.base import split_counts_into_groups
+from ..frameworks.base import equal_group_sizes, split_counts_into_groups
 from .candidate import CandidateGenerationResult, generate_candidates
 from .classwise import ClassMiningData, mine_class_topk, noise_rule_use_cp
 from .pruning import (
@@ -49,6 +49,7 @@ from .reporting import (
     EXECUTION_MODES,
     iteration_support,
     split_counts_over_iterations,
+    split_scalar_over_iterations,
     top_indices,
 )
 from .shuffling import assign_buckets
@@ -247,9 +248,7 @@ class MultiClassTopK:
         self, dataset: LabelItemDataset, rng: np.random.Generator
     ) -> dict[int, list[int]]:
         c = self.n_classes
-        sizes = [dataset.n_users // c] * c
-        for index in range(dataset.n_users - sum(sizes)):
-            sizes[index] += 1
+        sizes = equal_group_sizes(dataset.n_users, c)
         groups = split_counts_into_groups(dataset.pair_counts(), sizes, rng)
         result: dict[int, list[int]] = {}
         for g in range(c):
@@ -266,7 +265,9 @@ class MultiClassTopK:
         if self.use_shuffle:
             iterations = bucket_iteration_count(d, k)
             cohorts = split_counts_over_iterations(valid_counts, iterations, rng)
-            invalid_cohorts = _split_scalar(n_always_invalid, iterations, rng)
+            invalid_cohorts = split_scalar_over_iterations(
+                n_always_invalid, iterations, rng
+            )
             candidates = np.arange(d, dtype=np.int64)
             for cohort, extra in zip(cohorts[:-1], invalid_cohorts[:-1]):
                 outcome = bucket_prune_once(
@@ -611,13 +612,3 @@ class MultiClassTopK:
         if self.n_classes == 1:
             return np.asarray(inflows, dtype=np.float64)
         return (np.asarray(inflows, dtype=np.float64) - n_phase2 * q1) / (p1 - q1)
-
-
-def _split_scalar(total: int, n_parts: int, rng: np.random.Generator) -> list[int]:
-    """Split a user count into near-equal random cohorts."""
-    if total < 0:
-        raise DomainError(f"cannot split a negative count: {total}")
-    if total == 0:
-        return [0] * n_parts
-    parts = split_counts_over_iterations(np.asarray([total]), n_parts, rng)
-    return [int(part[0]) for part in parts]

@@ -1,8 +1,9 @@
 """Datasets: the container type plus the paper's six workloads.
 
 Real Kaggle data is unavailable offline; :mod:`repro.datasets.realworld`
-provides matched synthetic stand-ins (see DESIGN.md Section 2), and
-:mod:`repro.datasets.loaders` can ingest the originals if you have them.
+provides matched synthetic stand-ins (its module docstring states the
+substitution argument), and :mod:`repro.datasets.loaders` can ingest the
+originals if you have them.
 """
 
 from .base import LabelItemDataset

@@ -118,8 +118,8 @@ def _telemetry(oracle, n_reports: int):
     """Per-call engine telemetry handle, or ``None`` while telemetry is off.
 
     Instruments are fetched from the process registry per *call*, never
-    cached on oracles or sessions — session objects are pickled into
-    process-pool workers and must not carry lock-bearing instruments.
+    cached on oracles or sessions, so both stay plain picklable state
+    with no lock-bearing instruments.
     """
     registry = _obs.get_registry()
     if not registry.enabled:

@@ -423,33 +423,3 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     for section in ("counters", "gauges", "histograms"):
         merged[section] = dict(sorted(merged[section].items()))
     return merged
-
-
-def relabel_snapshot(snapshot: dict, **labels: LabelValue) -> dict:
-    """A copy of ``snapshot`` with ``labels`` appended to every series.
-
-    Shard worker processes ship their registry snapshots back to the
-    parent piggybacked on drain replies; relabelling them (e.g.
-    ``worker="shard0"``) before :func:`merge_snapshots` keeps a worker's
-    ``stream_ingested_total`` from colliding with — and silently
-    replacing — the parent's own series of the same name.
-    """
-    if not labels:
-        return snapshot
-    extra = ",".join(
-        f'{key}="{_escape_label(value)}"' for key, value in sorted(labels.items())
-    )
-
-    def rekey(series: str) -> str:
-        brace = series.find("{")
-        if brace < 0:
-            return f"{series}{{{extra}}}"
-        return f"{series[:-1]},{extra}}}"
-
-    out = {"schema": snapshot.get("schema", SNAPSHOT_SCHEMA)}
-    for section in ("counters", "gauges", "histograms"):
-        out[section] = {
-            rekey(series): value
-            for series, value in snapshot.get(section, {}).items()
-        }
-    return out

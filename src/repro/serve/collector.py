@@ -58,7 +58,7 @@ class ReportCollector:
     coalesce_frames:
         Most consecutive REPORTS frames decoded as one batch per
         event-loop wakeup (``1`` disables coalescing).
-    default_shards / flush_reports / high_water / record / executor / transport:
+    default_shards / flush_reports / high_water / record:
         Registry defaults when ``registry`` is omitted (see
         :class:`~repro.serve.registry.SessionRegistry`).
     metrics:
@@ -82,8 +82,6 @@ class ReportCollector:
         record: bool = False,
         max_sessions: int = 256,
         metrics: Optional[MetricsRegistry] = None,
-        executor: str = "thread",
-        transport: Optional[str] = None,
         health_policy: Optional[HealthPolicy] = None,
     ) -> None:
         if flush_interval <= 0:
@@ -109,8 +107,6 @@ class ReportCollector:
                 record=record,
                 max_sessions=max_sessions,
                 metrics=self.metrics,
-                executor=executor,
-                transport=transport,
             )
         self._bind_host = host
         self._bind_port = port

@@ -127,12 +127,6 @@ class BatchDrain:
         """Queryable state covering everything drained so far."""
         raise NotImplementedError
 
-    def worker_metrics(self) -> list[dict]:
-        """Metrics snapshots from any worker processes behind this
-        adapter (see :meth:`ShardedAggregator.worker_metrics`); empty
-        for in-process targets."""
-        return []
-
     def close(self) -> None:
         raise NotImplementedError
 
@@ -247,9 +241,6 @@ class AggregatorDrain(BatchDrain):
         # merge; merged()'s own internal drain is then a no-op.
         self.drain()
         return self._aggregator.merged()
-
-    def worker_metrics(self) -> list[dict]:
-        return self._aggregator.worker_metrics()
 
     def close(self) -> None:
         self._aggregator.close()

@@ -130,9 +130,9 @@ class OnlineFrameworkSession:
         else:
             self._ingest_protocol(labels, items)
         self._n += labels.size
-        # Instruments are fetched per call, never cached on the session:
-        # sessions pickle into process-pool shard workers and must not
-        # carry lock-bearing telemetry objects.
+        # Instruments are fetched per call, never cached on the session,
+        # so sessions stay plain picklable state with no lock-bearing
+        # telemetry objects.
         registry = _obs.get_registry()
         if registry.enabled:
             registry.counter(

@@ -22,10 +22,40 @@ class TestFanOut:
             single.ingest_batch(batch)
         for n_shards in (1, 2, 4):
             with ShardedAggregator(mech.accumulator, n_shards=n_shards) as agg:
-                total = agg.ingest(iter(batches))
+                futures = [agg.submit(batch) for batch in batches]
+                total = agg.drain()
                 merged = agg.merged()
+            assert [f.result() for f in futures] == [len(b) for b in batches]
             assert total == sum(len(b) for b in batches)
             np.testing.assert_array_equal(merged.support(), single.support())
+
+    def test_seeded_session_shards_replay_exactly(self):
+        """Round-robin sharding of seeded simulate-mode sessions equals
+        feeding each identically seeded session its own batches."""
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 3, 24_000)
+        items = rng.integers(0, 16, 24_000)
+        batches = [
+            (labels[start : start + 4_000], items[start : start + 4_000])
+            for start in range(0, 24_000, 4_000)
+        ]
+
+        def sessions():
+            return [
+                make_session("pts", epsilon=2.0, n_classes=3, n_items=16,
+                             rng=np.random.default_rng(seed))
+                for seed in (11, 12)
+            ]
+
+        with ShardedAggregator(sessions()) as agg:
+            agg.ingest(batches)
+            merged = agg.merged()
+        reference = sessions()
+        for index, batch in enumerate(batches):
+            reference[index % 2].ingest_batch(batch)
+        expected = reference[0].merge(reference[1])
+        assert merged.n_ingested == expected.n_ingested == 24_000
+        np.testing.assert_array_equal(merged.estimate(), expected.estimate())
 
     def test_tuple_batches_reach_sessions(self, rng):
         shards = [

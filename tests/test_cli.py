@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import EXPERIMENTS, format_table
-from repro.cli import main
+from repro.cli import main, serve_main
 
 
 class TestFormatTable:
@@ -113,24 +113,18 @@ class TestCLI:
             assert stats["users_per_sec"] > 0
             assert stats["baseline_users_per_sec"] > 0
 
-    def test_stream_executor_flag(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_stream.json"
-        monkeypatch.setenv("REPRO_BENCH_STREAM_ARTIFACT", str(artifact))
-        assert (
-            main(
-                [
-                    "stream", "--users", "8000", "--batch-size", "4000",
-                    "--shards", "2", "--executor", "process",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(artifact.read_text())
-        assert payload["executor"] == "process"
-        assert payload["total_reports"] == 4 * 8000
+    @pytest.mark.parametrize("flag", ["--executor", "--transport"])
+    def test_shard_executor_flags_are_gone(self, capsys, flag):
+        """Shards always run on threads: the old executor/transport knobs
+        are unknown options to both entry points (argparse exits 2)."""
+        for entry, argv in (
+            (main, ["stream", flag, "thread"]),
+            (serve_main, [flag, "thread"]),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                entry(argv)
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_list_mentions_serve(self, capsys):
         assert main(["--list"]) == 0
@@ -167,10 +161,6 @@ class TestCLI:
         assert main(["stream", "--connections", "2"]) == 2
         assert "--connections" in capsys.readouterr().err
         assert main(["table1", "--connections", "2"]) == 2
-
-    def test_executor_flag_rejected_for_serve(self, capsys):
-        assert main(["serve", "--executor", "process"]) == 2
-        assert "--executor" in capsys.readouterr().err
 
     def test_list_mentions_drift(self, capsys):
         assert main(["--list"]) == 0
