@@ -9,6 +9,7 @@ import asyncio
 import time
 
 import numpy as np
+import pytest
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import get_tracer, tracing_enabled
@@ -49,12 +50,13 @@ def _names_by_trace(spans, trace_id):
 
 
 class TestTracedEndToEnd:
-    def test_one_trace_id_links_client_collector_and_shards(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_trace_id_links_client_collector_and_shards(self, shards):
         """Acceptance: client submit, collector ingest/flush, shard
         ingest, and the query all share the client's root trace id in a
         single exported Chrome trace document."""
         labels, items = _population()
-        config = _config()
+        config = _config(session=f"trace-{shards}", shards=shards)
 
         async def scenario():
             async with ReportCollector() as collector:

@@ -81,6 +81,7 @@ class TestCLI:
         assert payload["total_reports"] == 4 * 20000
         assert payload["n_shards"] == 2
         assert set(payload["frameworks"]) == {"hec", "ptj", "pts", "pts-cp"}
+        assert not {"executor", "transport"} & set(payload)
         for stats in payload["frameworks"].values():
             assert stats["reports_per_sec"] > 0
 
