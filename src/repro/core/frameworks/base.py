@@ -24,12 +24,13 @@ Every framework supports two execution modes:
 from __future__ import annotations
 
 import abc
-from typing import Optional
+import math
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ...datasets.base import LabelItemDataset
-from ...exceptions import ConfigurationError
+from ...exceptions import ConfigurationError, ReproError
 from ...mechanisms.base import check_domain_size, check_epsilon
 from ...rng import RngLike, ensure_rng
 
@@ -174,7 +175,7 @@ def equal_group_sizes(n_users: int, n_groups: int) -> list[int]:
 
 
 def split_counts_into_groups(
-    pair_counts: np.ndarray, group_sizes: list[int], rng: np.random.Generator
+    pair_counts: np.ndarray, group_sizes: Sequence[int], rng: np.random.Generator
 ) -> np.ndarray:
     """Exactly partition a ``(c, d)`` count matrix into user groups.
 
@@ -182,21 +183,64 @@ def split_counts_into_groups(
     input.  Each group is a uniform random sample without replacement of
     the user population, so per-group cell counts follow the multivariate
     hypergeometric distribution — identical in law to shuffling the users
-    and slicing.
+    and slicing.  The cost is O(non-zero cells × groups): zero cells draw
+    no randomness.  Malformed counts or sizes raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
-    counts = np.asarray(pair_counts, dtype=np.int64)
-    remaining = counts.ravel().copy()
-    total = int(remaining.sum())
-    if sum(group_sizes) != total:
-        raise ConfigurationError(
-            f"group sizes sum to {sum(group_sizes)} but the dataset has {total} users"
-        )
-    out = np.empty((len(group_sizes), counts.size), dtype=np.int64)
-    for index, size in enumerate(group_sizes):
-        if size == int(remaining.sum()):
-            draw = remaining.copy()
-        else:
-            draw = rng.multivariate_hypergeometric(remaining, size, method="marginals")
-        out[index] = draw
-        remaining -= draw
-    return out.reshape(len(group_sizes), *counts.shape)
+    support, draws = _partition_counts(pair_counts, group_sizes, rng, ConfigurationError)
+    shape = np.shape(pair_counts)
+    out = np.zeros((len(draws), math.prod(shape)), dtype=np.int64)
+    out[:, support] = draws
+    return out.reshape(len(draws), *shape)
+
+
+def _partition_counts(
+    counts: np.ndarray,
+    sizes: Union[int, Sequence[int]],
+    rng: np.random.Generator,
+    error: type[ReproError],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential multivariate hypergeometric partition into cohorts.
+
+    ``sizes`` lists the cohort sizes, or is a cohort count for
+    near-equal cohorts (:func:`equal_group_sizes`).  Returns the flat
+    indices of the non-zero cells of ``counts`` and a ``(cohorts, cells)``
+    int64 array of their draws, whose rows sum to the cohort sizes and
+    whose columns sum to the counts.  Only the non-zero cells are drawn:
+    a zero cell's hypergeometric draw is always 0, so the law is
+    unchanged while the cost falls from O(cells × cohorts) to O(non-zero
+    cells × cohorts).  Malformed input raises ``error``.
+    """
+    array = np.asarray(counts)
+    if array.dtype.kind not in "biuf":
+        raise error(f"counts must be integers, got dtype {array.dtype}")
+    with np.errstate(invalid="ignore"):
+        flat = array.astype(np.int64, copy=False).ravel()
+    if array.dtype.kind not in "bi" and not np.array_equal(flat, array.ravel()):
+        raise error("counts must be integral and within int64")
+    if (flat < 0).any():
+        raise error("counts must be non-negative")
+    total = int(flat.sum())
+    if isinstance(sizes, (int, np.integer)):
+        if sizes < 1:
+            raise error(f"need >= 1 cohort, got {sizes}")
+        sizes = equal_group_sizes(total, int(sizes))
+    if len(sizes) < 1:
+        raise error("need >= 1 cohort, got none")
+    if min(sizes) < 0:
+        raise error(f"cohort sizes must be non-negative, got {list(sizes)}")
+    if sum(sizes) != total:
+        raise error(f"cohort sizes sum to {sum(sizes)} but the counts hold {total} users")
+
+    support = np.flatnonzero(flat)
+    remaining = flat[support]
+    left = total
+    draws = np.zeros((len(sizes), support.size), dtype=np.int64)
+    for row, size in zip(draws, sizes):
+        if size == left:
+            row[:] = remaining
+        elif size > 0:
+            row[:] = rng.multivariate_hypergeometric(remaining, size, method="marginals")
+        remaining -= row
+        left -= size
+    return support, draws

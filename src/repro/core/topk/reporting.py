@@ -28,6 +28,7 @@ from ...exceptions import ConfigurationError, DomainError
 from ...mechanisms.engine import batch_support
 from ...mechanisms.ue import OptimizedUnaryEncoding
 from ...mechanisms.validity import ValidityPerturbation
+from ..frameworks.base import _partition_counts
 
 #: The two invalid-data policies.
 INVALID_MODES = ("random", "vp")
@@ -183,30 +184,22 @@ def split_counts_over_iterations(
     """Partition a user population (given as value counts) into
     ``n_iterations`` near-equal random cohorts.
 
-    Returns a list of count vectors summing to the input.  Sampling is
-    without replacement (multivariate hypergeometric), identical in law to
-    shuffling the users and slicing — each user reports in exactly one
-    iteration, as the privacy analysis requires.
+    Returns a list of ``counts.shape`` int64 arrays summing to the input.
+    Sampling is without replacement (multivariate hypergeometric),
+    identical in law to shuffling the users and slicing — each user
+    reports in exactly one iteration, as the privacy analysis requires.
+    The cost is O(non-zero cells × iterations): zero cells draw no
+    randomness.  Malformed input raises :class:`DomainError`.
     """
-    if n_iterations < 1:
-        raise DomainError(f"need >= 1 iteration, got {n_iterations}")
-    flat = np.asarray(counts, dtype=np.int64).ravel()
-    if (flat < 0).any():
-        raise DomainError("counts must be non-negative")
-    total = int(flat.sum())
-    base = total // n_iterations
-    sizes = [base + (index < total % n_iterations) for index in range(n_iterations)]
-    remaining = flat.copy()
-    parts: list[np.ndarray] = []
-    for size in sizes:
-        if size == int(remaining.sum()):
-            draw = remaining.copy()
-        elif size == 0:
-            draw = np.zeros_like(remaining)
-        else:
-            draw = rng.multivariate_hypergeometric(remaining, size, method="marginals")
-        parts.append(draw.reshape(np.asarray(counts).shape))
-        remaining -= draw
+    support, draws = _partition_counts(counts, n_iterations, rng, DomainError)
+    shape = np.shape(counts)
+    parts = []
+    for draw in draws:
+        # np.zeros is calloc-backed, so pages no non-zero cell lands on are
+        # never touched; np.zeros_like fills, and so faults in, every page.
+        part = np.zeros(shape, dtype=np.int64)
+        part.reshape(-1)[support] = draw
+        parts.append(part)
     return parts
 
 
@@ -215,10 +208,6 @@ def split_scalar_over_iterations(
 ) -> list[int]:
     """Split a bare user count into ``n_iterations`` near-equal random
     cohorts (the scalar case of :func:`split_counts_over_iterations`)."""
-    if total < 0:
-        raise DomainError(f"cannot split a negative count: {total}")
-    if total == 0:
-        return [0] * n_iterations
     parts = split_counts_over_iterations(np.asarray([total]), n_iterations, rng)
     return [int(part[0]) for part in parts]
 

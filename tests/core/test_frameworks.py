@@ -75,6 +75,13 @@ class TestGroupSplitting:
         with pytest.raises(ConfigurationError):
             split_counts_into_groups(counts, [3, 3], rng)
 
+    def test_split_rejects_negative_sizes_and_counts(self, rng):
+        counts = np.asarray([4, 6], dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            split_counts_into_groups(counts, [12, -2], rng)
+        with pytest.raises(ConfigurationError):
+            split_counts_into_groups(np.asarray([12, -2]), [5, 5], rng)
+
 
 class TestUnbiasedness:
     """PTJ, PTS and PTS-CP are unbiased; HEC carries the Theorem-4 bias."""

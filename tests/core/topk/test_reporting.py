@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.topk import simulate_iteration_support, split_counts_over_iterations, top_indices
+from repro.core.topk.reporting import split_scalar_over_iterations
 from repro.exceptions import ConfigurationError, DomainError
 
 
@@ -103,6 +104,18 @@ class TestSplitCounts:
             split_counts_over_iterations(np.asarray([1]), 0, rng)
         with pytest.raises(DomainError):
             split_counts_over_iterations(np.asarray([-1]), 2, rng)
+
+    def test_scalar_rejects_no_iterations_even_for_zero_users(self, rng):
+        for total, n_iterations in ((0, 0), (0, -3), (5, 0)):
+            with pytest.raises(DomainError):
+                split_scalar_over_iterations(total, n_iterations, rng)
+
+    def test_rejects_fractional_counts(self, rng):
+        with pytest.raises(DomainError):
+            split_counts_over_iterations(np.asarray([1.7, 2.2]), 2, rng)
+        parts = split_counts_over_iterations(np.asarray([1.0, 2.0]), 2, rng)
+        assert parts[0].dtype == np.int64
+        assert (np.stack(parts).sum(axis=0) == [1, 2]).all()
 
 
 class TestTopIndices:
